@@ -60,6 +60,13 @@ def rebuild_process(sim: Simulator, volume: RaiznVolume, index: int,
             or new_device.zone_capacity != template.zone_capacity):
         raise RaiznError("replacement device geometry mismatch")
     started_at = sim.now
+    # A replacement left half-written by an interrupted rebuild starts
+    # over from blank zones; a blank spare gets no reset command.
+    resets = [new_device.submit(Bio.zone_reset(info.start))
+              for info in new_device.report_zones()
+              if info.state is not ZoneState.EMPTY]
+    if resets:
+        yield sim.all_of(resets)
 
     state = RebuildState(index)
     volume.rebuild_state = state

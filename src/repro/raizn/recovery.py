@@ -90,7 +90,12 @@ class _Recovery:
         self.raw_devices = devices
         self.config_overrides = config_overrides or {}
         self.volume: Optional[RaiznVolume] = None
-        self.entries: Dict[int, List[MetadataEntry]] = {}  # device -> entries
+        #: Every scanned metadata entry as ``(device, entry)``, grouped by
+        #: type once per mount, in device-then-log order.
+        self.by_type: Dict[MetadataType, List[Tuple[int, MetadataEntry]]] = {
+            mdtype: [] for mdtype in MetadataType}
+        #: ZONE_RESET_LOG entries keyed by the zone they log, in log order.
+        self.reset_logs: Dict[int, List[MetadataEntry]] = {}
 
     # -- top level ------------------------------------------------------------
 
@@ -135,6 +140,12 @@ class _Recovery:
                 # missing device and mount degraded — rejecting the mount
                 # would turn a within-tolerance fault into an outage.
                 continue
+            if superblock is None:
+                # No superblock: a blank spare, or a replacement whose
+                # rebuild was cut before its metadata was written.  Its
+                # data zones are incomplete, so its slot mounts degraded
+                # like a missing device.
+                continue
             found.append((dev, superblock))
         if not found:
             raise RecoveryError("no device carries a RAIZN superblock")
@@ -162,7 +173,7 @@ class _Recovery:
         ``num_metadata_zones`` zones, and the general metadata zone always
         contains a superblock entry (written at format time and
         re-checkpointed by every metadata GC), so a bounded backwards scan
-        finds it.
+        finds it.  Returns None when the scan finds none.
         """
         for index in range(dev.num_zones - 1,
                            max(-1, dev.num_zones - 17), -1):
@@ -170,7 +181,7 @@ class _Recovery:
             for entry in entries:
                 if entry.mdtype is MetadataType.SUPERBLOCK:
                     return Superblock.from_entry(entry)
-        raise RecoveryError(f"no superblock found on {dev.name}")
+        return None
 
     @staticmethod
     def _scan_zone(dev: ZNSDevice, zone_index: int):
@@ -184,23 +195,21 @@ class _Recovery:
     # -- metadata ingest --------------------------------------------------------------
 
     def _scan_metadata(self):
+        """Read every metadata zone once and index its entries by type."""
         volume = self.volume
+        by_type = self.by_type
         for index, dev in enumerate(volume.devices):
             if dev is None:
                 continue
-            entries: List[MetadataEntry] = []
             for zone_index in range(volume.num_data_zones, dev.num_zones):
-                entries.extend((yield from self._scan_zone(dev, zone_index)))
+                for entry in (yield from self._scan_zone(dev, zone_index)):
+                    by_type[entry.mdtype].append((index, entry))
                 volume.mdzones[index].used[zone_index] = (
                     dev.zone_info(zone_index).write_pointer
                     - zone_index * volume.phys_zone_size)
-            self.entries[index] = entries
-
-    def _all_entries(self) -> List[Tuple[int, MetadataEntry]]:
-        out = []
-        for device, entries in self.entries.items():
-            out.extend((device, e) for e in entries)
-        return out
+        for _device, entry in by_type[MetadataType.ZONE_RESET_LOG]:
+            logged_zone, _reset_pointer = decode_zone_reset(entry)
+            self.reset_logs.setdefault(logged_zone, []).append(entry)
 
     def _ingest_generation(self) -> None:
         """Componentwise max over all persisted generation blocks.
@@ -209,9 +218,7 @@ class _Recovery:
         exactly the newest persisted value for each zone.
         """
         volume = self.volume
-        for _device, entry in self._all_entries():
-            if entry.mdtype is not MetadataType.GENERATION:
-                continue
+        for _device, entry in self.by_type[MetadataType.GENERATION]:
             first_zone, counters = decode_generation_block(entry)
             for offset, value in enumerate(counters):
                 zone = first_zone + offset
@@ -238,9 +245,7 @@ class _Recovery:
         """
         volume = self.volume
         grouped: Dict[int, Dict[int, List[MetadataEntry]]] = {}
-        for _device, entry in self._all_entries():
-            if entry.mdtype is not MetadataType.PARTIAL_PARITY:
-                continue
+        for _device, entry in self.by_type[MetadataType.PARTIAL_PARITY]:
             zone = entry.start_lba // volume.zone_capacity
             if zone >= volume.num_data_zones:
                 continue
@@ -283,9 +288,7 @@ class _Recovery:
 
     def _ingest_relocations(self) -> None:
         volume = self.volume
-        for device, entry in self._all_entries():
-            if entry.mdtype is not MetadataType.RELOCATED_SU:
-                continue
+        for device, entry in self.by_type[MetadataType.RELOCATED_SU]:
             zone = entry.start_lba // volume.zone_capacity
             if zone >= volume.num_data_zones:
                 continue
@@ -301,13 +304,9 @@ class _Recovery:
     # -- per-zone recovery ---------------------------------------------------------------
 
     def _zone_reset_log(self, zone: int) -> Optional[MetadataEntry]:
-        volume = self.volume
-        for _device, entry in self._all_entries():
-            if entry.mdtype is not MetadataType.ZONE_RESET_LOG:
-                continue
-            logged_zone, _reset_pointer = decode_zone_reset(entry)
-            if logged_zone == zone and \
-                    entry.generation == volume.generation[zone]:
+        generation = self.volume.generation[zone]
+        for entry in self.reset_logs.get(zone, ()):
+            if entry.generation == generation:
                 return entry
         return None
 
@@ -452,9 +451,7 @@ class _Recovery:
         )
         volume = self.volume
         copied = {}
-        for _device, entry in self._all_entries():
-            if entry.mdtype is not MetadataType.OP_WAL:
-                continue
+        for _device, entry in self.by_type[MetadataType.OP_WAL]:
             opcode, payload = _safe_rewrite_decode(entry)
             if opcode != OP_ZONE_REWRITE_COPIED:
                 continue
@@ -507,7 +504,7 @@ class _Recovery:
         )
         volume = self.volume
         wal_present = find_maintenance_wal(
-            entry for _d, entry in self._all_entries())
+            entry for _d, entry in self.by_type[MetadataType.OP_WAL])
         if wal_present or needs_generation_maintenance(volume):
             volume.read_only = True
             yield from run_generation_maintenance(self.sim, volume)
@@ -623,18 +620,63 @@ class _ZoneContent:
 
     def analyze(self):
         """Derive the logical write pointer; repair or hide stripe holes."""
-        volume = self.volume
-        zone_start = volume.mapper.zone_start(self.zone)
-        stripes = volume.mapper.stripes_per_zone
-        first_gap: Optional[int] = None  # LBA of first missing byte
-        max_written = zone_start
+        first_gap, max_written = self._scan_extents()
+        if self._missing_device() is not None:
+            yield from self._analyze_degraded(max_written)
+            return
+        if first_gap is None or first_gap >= max_written:
+            self.logical_wp = max_written
+            return
+        yield from self._repair_holes(first_gap, max_written)
 
-        for stripe in range(stripes):
-            layout = volume.mapper.stripe_layout(self.zone, stripe)
+    def _walk_bounds(self) -> Tuple[int, int]:
+        """Stripes ``[first, end)`` that a crash can have left short.
+
+        Below ``first`` every present device holds whole SUs and no SU is
+        relocated, so those stripes have no gap.  From ``end`` on no
+        present device holds a byte and no SU is relocated, so nothing
+        there is written.  The stripe walks cover only this range, which
+        makes per-zone work track the torn tail, not the data held.
+        """
+        volume = self.volume
+        known = [e for e in self.extents if e is not None]
+        stripes = volume.mapper.stripes_per_zone
+        first = min(min(known, default=0) // self.su, stripes)
+        end = min(-(-max(known, default=0) // self.su), stripes)
+        zone_start = volume.mapper.zone_start(self.zone)
+        relocated = volume.relocations.span_in(
+            zone_start, zone_start + volume.zone_capacity)
+        if relocated is not None:
+            first = min(first, (relocated[0] - zone_start) // self.width)
+            end = max(end, (relocated[1] - zone_start) // self.width + 1)
+        return first, end
+
+    def _scan_extents(self) -> Tuple[Optional[int], int]:
+        """``(first_gap, max_written)`` of the zone's data SUs.
+
+        ``first_gap`` is the LBA of the first missing byte, or None when
+        no byte below ``max_written`` is missing; ``max_written`` is the
+        end of the highest written data byte.
+        """
+        mapper = self.volume.mapper
+        zone_start = mapper.zone_start(self.zone)
+        first, end = self._walk_bounds()
+        first_gap: Optional[int] = None
+        max_written = zone_start
+        if first:
+            # Stripe ``first - 1`` is whole: its highest present data SU
+            # ends the written range below ``first``.
+            layout = mapper.stripe_layout(self.zone, first - 1)
+            top = max(i for i, device in enumerate(layout.data_devices)
+                      if self.extents[device] is not None)
+            max_written = mapper.su_lba(self.zone, first - 1, top) + self.su
+
+        for stripe in range(first, end):
+            layout = mapper.stripe_layout(self.zone, stripe)
             any_data = False
             for i, device in enumerate(layout.data_devices):
                 extent = self._data_extent(stripe, i, device)
-                su_lba = volume.mapper.su_lba(self.zone, stripe, i)
+                su_lba = mapper.su_lba(self.zone, stripe, i)
                 if extent is None:
                     # Missing device: infer from parity coverage below.
                     continue
@@ -648,16 +690,7 @@ class _ZoneContent:
                 any_data = True
             if not any_data and first_gap is not None:
                 break  # past the end of written data
-
-        missing_index = self._missing_device()
-        if missing_index is not None:
-            yield from self._analyze_degraded(max_written)
-            return
-
-        if first_gap is None or first_gap >= max_written:
-            self.logical_wp = max_written
-            return
-        yield from self._repair_holes(first_gap, max_written)
+        return first_gap, max_written
 
     def _missing_device(self) -> Optional[int]:
         for index, extent in enumerate(self.extents):
@@ -710,8 +743,11 @@ class _ZoneContent:
         if max_extent == 0:
             return
         last_stripe = (max_extent - 1) // self.su
+        # Every SU of an earlier stripe lies below the rollback point.
+        first_stripe = (rollback_lwp - volume.mapper.zone_start(self.zone)) \
+            // self.width
         events = []
-        for stripe in range(last_stripe + 1):
+        for stripe in range(first_stripe, last_stripe + 1):
             layout = volume.mapper.stripe_layout(self.zone, stripe)
             for i, device in enumerate(layout.data_devices):
                 su_lba = volume.mapper.su_lba(self.zone, stripe, i)
@@ -734,7 +770,9 @@ class _ZoneContent:
     def _first_missing_lba(self, max_written: int) -> int:
         volume = self.volume
         zone_start = volume.mapper.zone_start(self.zone)
-        position = zone_start
+        # Every SU below the first short stripe is whole (hole repair
+        # runs with every device present).
+        position = zone_start + self._walk_bounds()[0] * self.width
         while position < max_written:
             stripe = (position - zone_start) // self.width
             in_stripe = (position - zone_start) % self.width
@@ -973,9 +1011,11 @@ class _ZoneContent:
         last = (max(max_written - 1, zone_start) - zone_start) // self.width
         if self.partial_parity:
             last = max(last, max(self.partial_parity))
-        wp = zone_start
+        # Every stripe below the first short one is complete.
+        first = self._walk_bounds()[0]
+        wp = zone_start + first * self.width
         torn_parity: List[int] = []
-        for stripe in range(last + 1):
+        for stripe in range(first, last + 1):
             layout = volume.mapper.stripe_layout(self.zone, stripe)
             stripe_lba = zone_start + stripe * self.width
             complete = True

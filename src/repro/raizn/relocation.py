@@ -98,6 +98,14 @@ class RelocationStore:
     def lookup(self, su_lba: int) -> Optional[RelocatedUnit]:
         return self._units.get(su_lba)
 
+    def span_in(self, lba_lo: int, lba_hi: int) -> Optional[Tuple[int, int]]:
+        """``(lowest, highest)`` relocated SU start in ``[lba_lo, lba_hi)``,
+        or None when the range holds no relocated SU."""
+        inside = [lba for lba in self._units if lba_lo <= lba < lba_hi]
+        if not inside:
+            return None
+        return min(inside), max(inside)
+
     def units(self) -> List[RelocatedUnit]:
         return [self._units[k] for k in sorted(self._units)]
 

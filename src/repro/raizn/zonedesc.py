@@ -45,8 +45,8 @@ class PersistenceBitmap:
             # Steady-state FUA traffic: the frontier already covers the
             # write; nothing to mark and nothing to rescan.
             return
-        for index in range(frontier, su_end):
-            bits[index] = True
+        bits[frontier:su_end] = [True] * (su_end - frontier)
+        frontier = su_end
         while frontier < n and bits[frontier]:
             frontier += 1
         self.frontier = frontier

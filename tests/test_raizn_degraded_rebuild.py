@@ -196,3 +196,56 @@ class TestRebuild:
         assert full[2 * STRIPE:] == more
         volume.fail_device(3)
         assert volume.execute(Bio.read(0, 4 * STRIPE)).result == full
+
+
+class TestCrashDuringRebuild:
+    """A power cut in the middle of a rebuild must leave the array
+    mountable and the rebuild restartable onto the same replacement."""
+
+    @staticmethod
+    def _array_awaiting_rebuild(sim):
+        volume, devices = make_volume(sim)
+        zone = volume.zone_info(0).capacity
+        data = pattern(zone + zone // 2, seed=31)  # 1.5 logical zones
+        volume.execute(Bio.write(0, data[:zone]))
+        volume.execute(Bio.write(zone, data[zone:]))
+        volume.execute(Bio.flush())
+        volume.fail_device(2)
+        return volume, devices, data
+
+    def _cut_rebuild(self, fraction):
+        from repro.faults.powerloss import crash_during
+        from repro.raizn.rebuild import rebuild_process
+        # Time an identical, uninterrupted rebuild first: the simulation
+        # is deterministic, so the cut lands at ``fraction`` of it.
+        dry = Simulator()
+        volume, devices, _data = self._array_awaiting_rebuild(dry)
+        duration = rebuild(dry, volume, 2,
+                           fresh_replacement(dry, devices[0], "r2")).duration
+        sim = Simulator()
+        volume, devices, data = self._array_awaiting_rebuild(sim)
+        replacement = fresh_replacement(sim, devices[0], "r2")
+        members = [replacement if i == 2 else dev
+                   for i, dev in enumerate(devices)]
+        crash_during(sim, members,
+                     rebuild_process(sim, volume, 2, replacement),
+                     sim.now + fraction * duration)
+        return sim, members, replacement, data
+
+    def test_mount_degraded_with_half_rebuilt_replacement(self):
+        sim, members, replacement, data = self._cut_rebuild(0.3)
+        assert any(info.write_pointer != info.start
+                   for info in replacement.report_zones())
+        remounted = mount(sim, members)
+        assert remounted.failed[2] and remounted.devices[2] is None
+        assert remounted.execute(Bio.read(0, len(data))).result == data
+
+    def test_retried_rebuild_onto_half_rebuilt_replacement(self):
+        sim, members, replacement, data = self._cut_rebuild(0.3)
+        remounted = mount(sim, members)
+        rebuild(sim, remounted, 2, replacement)
+        assert remounted.devices[2] is replacement
+        assert remounted.execute(Bio.read(0, len(data))).result == data
+        # Reads now depend on the rebuilt device's bytes.
+        remounted.fail_device(0)
+        assert remounted.execute(Bio.read(0, len(data))).result == data
