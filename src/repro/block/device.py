@@ -80,17 +80,6 @@ class DeviceStats:
         else:
             self.zone_mgmt += 1
 
-    def observe_completion(self, bio: Bio, now: float) -> None:
-        """Charge one successful completion's latency to the time counters."""
-        elapsed = now - bio.submit_time
-        op = bio.op
-        if op is Op.READ:
-            self.read_seconds += elapsed
-        elif op is Op.WRITE or op is Op.ZONE_APPEND:
-            self.write_seconds += elapsed
-        else:
-            self.other_seconds += elapsed
-
     def to_dict(self) -> dict:
         """Snapshot for the metrics registry."""
         return {
@@ -243,31 +232,7 @@ class BlockDevice:
         channels = self.channels
         if channels.in_use < channels.capacity:
             channels.in_use += 1
-            # Inlined ``_grant`` (the uncontended case): same steps, one
-            # call frame and one ``schedule`` indirection fewer.
-            if bio.span is not None:
-                bio.span_grant = sim.now
-            op = bio.op
-            model = self.model
-            if op is Op.WRITE or op is Op.ZONE_APPEND:
-                # ``occupancy_time`` inlined for the dominant ops; the
-                # jitter expansion matches rng.uniform bit for bit (see
-                # the model's __post_init__).
-                occupancy = model.command_overhead + \
-                    bio.length / model._write_rate
-                jitter = model.jitter
-                if jitter > 0:
-                    occupancy *= 1.0 + (-jitter +
-                                        model._jitter_span *
-                                        self._rng.random())
-            else:
-                occupancy = model.occupancy_time(op, bio.length, self._rng)
-            if self.service_delay_hook is not None:
-                occupancy += self.service_delay_hook(self, bio)
-            sim._seq += 1
-            heapq.heappush(sim._heap,
-                           (sim.now + occupancy + extra_time, sim._seq,
-                            self._channel_done, (bio, done)))
+            self._grant(bio, extra_time, done)
         else:
             self._channel_queue.append((bio, extra_time, done))
         return done
@@ -306,7 +271,9 @@ class BlockDevice:
         op = bio.op
         model = self.model
         if op is Op.WRITE or op is Op.ZONE_APPEND:
-            # Same inlined occupancy as ``submit``'s uncontended branch.
+            # ``occupancy_time`` inlined for the dominant ops; the jitter
+            # expansion matches rng.uniform bit for bit (see the model's
+            # __post_init__).
             occupancy = model.command_overhead + \
                 bio.length / model._write_rate
             jitter = model.jitter
@@ -349,7 +316,7 @@ class BlockDevice:
             sim = self.sim
             sim._seq += 1
             heapq.heappush(sim._heap, (sim.now + pipeline, sim._seq,
-                                       self._complete_fused, (bio, done)))
+                                       self._complete, (bio, done, True)))
         else:
             self._complete(bio, done)
 
@@ -368,7 +335,19 @@ class BlockDevice:
         bio.complete_time = self.sim.now
         done.succeed(bio)
 
-    def _complete(self, bio: Bio, done: Event) -> None:
+    def _complete(self, bio: Bio, done: Event, fused: bool = False) -> None:
+        """Deliver a serviced command: persist, account, trace, fire ``done``.
+
+        ``fused`` is set only by the dedicated heap entry
+        ``_channel_done`` pushes, where the engine guarantees the
+        now-queue is empty.  ``done.succeed`` would queue the (single)
+        waiter continuation as the very next entry and the loop would
+        pop it immediately after this frame returns — so the fused
+        firing triggers the event here and invokes the continuation
+        directly (after the completion hook, exactly where the loop
+        would have run it): the same work in the same order, without
+        the queue round-trip.
+        """
         if self.failed:
             self._fail_inflight(bio, done,
                                 DeviceFailedError(f"{self.name} failed mid-IO"))
@@ -377,47 +356,13 @@ class BlockDevice:
             self._fail_inflight(bio, done,
                                 PowerLossError(f"{self.name} lost power mid-IO"))
             return
-        self._persist(bio)
-        self.stats.observe_completion(bio, self.sim.now)
-        parent = bio.span
-        if parent is not None:
-            bio.span = None
-            opname = bio.op._value_  # str key: Enum.__hash__ is Python-level
-            try:
-                site = self._trace_sites[opname]
-            except KeyError:
-                site = self._trace_sites[opname] = self.tracer.site(
-                    self.trace_layer, bio.op, self.name)
-            self.tracer.complete_io(site, bio.submit_time, bio.span_grant,
-                                    bio.length, parent)
-        bio.complete_time = self.sim.now
-        done.succeed(bio)
-        if self.completion_hook is not None:
-            self.completion_hook(self, bio)
-
-    def _complete_fused(self, bio: Bio, done: Event) -> None:
-        """``_complete`` plus the waiter's continuation, as ONE engine step.
-
-        Entered only from a dedicated heap entry, where the engine
-        guarantees the now-queue is empty.  ``done.succeed`` would queue
-        the (single) waiter continuation as the very next entry and the
-        loop would pop it immediately after this frame returns — so
-        triggering the event here and invoking the continuation directly
-        (after the completion hook, exactly where the loop would have
-        run it) executes the same work in the same order without the
-        queue round-trip.  Completion batching per the engine's sibling
-        rule: the completion and its continuation ride one step.
-        """
-        if self.failed or not self.powered:
-            self._complete(bio, done)
-            return
         if bio.flags or bio.aux is not None:
             # Plain (non-FUA, non-flush) commands have no durability
             # effect; every ``_persist`` implementation no-ops on them,
             # so skip the call entirely.
             self._persist(bio)
         now = self.sim.now
-        # ``DeviceStats.observe_completion`` inlined, as with ``account``.
+        # Charge the completion latency to the direction's time counter.
         stats = self.stats
         elapsed = now - bio.submit_time
         op = bio.op
@@ -430,15 +375,20 @@ class BlockDevice:
         parent = bio.span
         if parent is not None:
             bio.span = None
-            opname = bio.op._value_  # str key: Enum.__hash__ is Python-level
+            opname = op._value_  # str key: Enum.__hash__ is Python-level
             try:
                 site = self._trace_sites[opname]
             except KeyError:
                 site = self._trace_sites[opname] = self.tracer.site(
-                    self.trace_layer, bio.op, self.name)
+                    self.trace_layer, op, self.name)
             self.tracer.complete_io(site, bio.submit_time, bio.span_grant,
                                     bio.length, parent)
         bio.complete_time = now
+        if not fused:
+            done.succeed(bio)
+            if self.completion_hook is not None:
+                self.completion_hook(self, bio)
+            return
         # Trigger ``done`` without queueing the continuation (the succeed
         # fast path's only effect beyond state changes).
         if done.triggered:

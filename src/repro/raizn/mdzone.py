@@ -139,7 +139,32 @@ class DeviceMetadataZones:
         ``(fn, args)`` call instead of being scheduled — the caller owns
         one ``schedule_batch`` entry covering a whole stripe's appends.
         """
-        done = self.sim.event()
+        return self.append_encoded_async(role, entry, fua, batch,
+                                         self._append_start)
+
+    def append_encoded_async(self, role: MetadataRole, encoded: bytes,
+                             fua: bool = False, batch: list = None,
+                             start=None) -> Event:
+        """:meth:`append_async` for a caller that already holds the encoded
+        bytes (the write path's partial-parity entries are produced by
+        :func:`repro.raizn.metadata.encode_partial_parity_bytes`).  The
+        hop structure is identical — encoding an entry is pure
+        computation, so moving it before hop 1 changes no event order.
+
+        ``start`` is the hop-1 step; :meth:`append_async` passes
+        :meth:`_append_start` so an entry is encoded there (an encode
+        error then fails the returned event, as the process version's
+        did).
+        """
+        sim = self.sim
+        # ``sim.event()`` inlined: one call per metadata append.
+        free = sim._event_free
+        if free:
+            done = free.pop()
+            done.triggered = False
+            done.ok = True
+        else:
+            done = Event(sim)
         tracer = self.device.tracer
         if tracer is not None:
             # The md span covers lock wait, any log rotation, and the
@@ -154,45 +179,13 @@ class DeviceMetadataZones:
                 site = sites[rolename] = tracer.site("md", role,
                                                      self.device.name)
             done.add_callback(tracer.begin_at(site))
+        if start is None:
+            start = self._append_start_encoded
         # Hop 1 stands in for the deferred process start.
         if batch is not None:
-            batch.append((self._append_start, (role, entry, fua, done)))
+            batch.append((start, (role, encoded, fua, done)))
         else:
-            self.sim.schedule(0.0, self._append_start, role, entry, fua, done)
-        return done
-
-    def append_encoded_async(self, role: MetadataRole, encoded: bytes,
-                             fua: bool = False, batch: list = None) -> Event:
-        """:meth:`append_async` for a caller that already holds the encoded
-        bytes (the write path's partial-parity entries are produced by
-        :func:`repro.raizn.metadata.encode_partial_parity_bytes`).  The
-        hop structure is identical — encoding an entry is pure
-        computation, so moving it before hop 1 changes no event order."""
-        sim = self.sim
-        # ``sim.event()`` inlined: one call per metadata append.
-        free = sim._event_free
-        if free:
-            done = free.pop()
-            done.triggered = False
-            done.ok = True
-        else:
-            done = Event(sim)
-        tracer = self.device.tracer
-        if tracer is not None:
-            sites = self._tr_sites
-            rolename = role._value_
-            try:
-                site = sites[rolename]
-            except KeyError:
-                site = sites[rolename] = tracer.site("md", role,
-                                                     self.device.name)
-            done.add_callback(tracer.begin_at(site))
-        if batch is not None:
-            batch.append((self._append_start_encoded,
-                          (role, encoded, fua, done)))
-        else:
-            self.sim.schedule(0.0, self._append_start_encoded, role, encoded,
-                              fua, done)
+            sim.schedule(0.0, start, role, encoded, fua, done)
         return done
 
     def _append_start(self, role: MetadataRole, entry: MetadataEntry,

@@ -231,6 +231,30 @@ class TestDurability:
         zns.execute(Bio.write(0, b"\xaa" * 4096))
         zns.execute(Bio.write(4096, b"\xbb" * 4096, BioFlags.PREFLUSH))
         assert zns.zones[0].durable_pointer >= 4096
+        assert (zns.open_zone_count, zns.active_zone_count) == (1, 1)
+
+        # PREFLUSH zone append: placed at the write pointer, and the flush
+        # persists exactly the write before it (the append is not FUA).
+        zns.execute(Bio.write(1 * MiB, b"\xcc" * 4096))
+        bio = zns.execute(Bio.zone_append(1 * MiB, b"\xdd" * 8192,
+                                          BioFlags.PREFLUSH))
+        assert bio.result == 1 * MiB + 4096
+        assert zns.zones[1].durable_pointer == 1 * MiB + 4096
+        assert zns.zone_info(1).write_pointer == 1 * MiB + 12288
+        assert zns.zone_info(1).state is ZoneState.IMPLICIT_OPEN
+        assert (zns.open_zone_count, zns.active_zone_count) == (2, 2)
+
+        # PREFLUSH write that fills an explicitly opened zone: FULL, and
+        # the zone leaves the open and active sets.
+        zns.execute(Bio.zone_open(2 * MiB))
+        zns.execute(Bio.write(2 * MiB, b"\xee" * 4096))
+        assert (zns.open_zone_count, zns.active_zone_count) == (3, 3)
+        zns.execute(Bio.write(2 * MiB + 4096, b"\xff" * (1 * MiB - 4096),
+                              BioFlags.PREFLUSH))
+        assert zns.zones[2].durable_pointer == 2 * MiB + 4096
+        assert zns.zone_info(2).write_pointer == 3 * MiB
+        assert zns.zone_info(2).state is ZoneState.FULL
+        assert (zns.open_zone_count, zns.active_zone_count) == (2, 2)
 
     def test_reset_clears_durable_pointer(self, zns):
         zns.execute(Bio.write(0, b"\xaa" * 4096, BioFlags.FUA))
